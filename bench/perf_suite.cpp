@@ -75,11 +75,9 @@ void write_json(const std::string& path, int vps, double peak,
   }
   std::fprintf(f,
                "{\n  \"schema_version\": 2,\n"
-               "  \"calibration_cache_hit\": %s,\n"
                "  \"machine\": {\"vps\": %d, \"peak_mflops\": %.1f, "
                "\"simd\": %s, \"net_mode\": \"%s\"},\n",
-               dpf::net::calibration_from_cache() ? "true" : "false", vps,
-               peak, dpf::vec::enabled() ? "true" : "false",
+               vps, peak, dpf::vec::enabled() ? "true" : "false",
                dpf::net::mode_label());
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -201,8 +199,7 @@ int main(int argc, char** argv) {
   // With tracing enabled, export the whole run's timeline and print the
   // per-worker summary so CI artifacts carry a loadable trace.
   if (trace::mode() != trace::Mode::Off) {
-    auto snap = trace::collect();
-    dpf::net::merge_router_trace(snap);  // shm backend router tracks, if any
+    const auto snap = trace::collect();
     std::string trace_path = "BENCH_trace.json";
     if (const char* env = std::getenv("DPF_TRACE_JSON")) trace_path = env;
     if (trace::write_chrome_trace(trace_path, snap)) {

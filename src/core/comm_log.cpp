@@ -48,6 +48,13 @@ std::vector<CommEvent> CommLog::events() const {
   return events_;
 }
 
+std::vector<CommEvent> CommLog::events_since(std::size_t start) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (start >= events_.size()) return {};
+  return std::vector<CommEvent>(
+      events_.begin() + static_cast<std::ptrdiff_t>(start), events_.end());
+}
+
 std::map<CommKey, index_t> CommLog::counts() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<CommKey, index_t> out;
@@ -129,10 +136,7 @@ bool CommLog::dump_csv(const std::string& path) const {
 }
 
 std::vector<CommEvent> CommScope::events() const {
-  auto all = CommLog::instance().events();
-  if (start_ >= all.size()) return {};
-  return std::vector<CommEvent>(all.begin() + static_cast<std::ptrdiff_t>(start_),
-                                all.end());
+  return CommLog::instance().events_since(start_);
 }
 
 std::map<CommKey, index_t> CommScope::counts() const {

@@ -152,6 +152,11 @@ class CommLog {
   /// Snapshot of all events since the last reset.
   [[nodiscard]] std::vector<CommEvent> events() const;
 
+  /// Snapshot of the events from index `start` on (empty when `start` is
+  /// at or past the end). Copies only that suffix, so scopes that remember
+  /// where they began pay for their own events, not the whole log.
+  [[nodiscard]] std::vector<CommEvent> events_since(std::size_t start) const;
+
   /// Aggregated operation counts keyed by (pattern, src rank, dst rank).
   [[nodiscard]] std::map<CommKey, index_t> counts() const;
 

@@ -12,11 +12,10 @@
 ///                              loud once-per-variable "ignoring NAME=..."
 ///                              warning.
 ///
-/// Every subsystem that reads a numeric knob (core/machine.cpp for DPF_VPS
-/// and DPF_WORKERS, the dpfd executor re-checking DPF_WORKERS between jobs)
-/// goes through this one helper so CLI runs and daemon jobs reject invalid
-/// values identically, and so the warning fires once per knob per process
-/// rather than once per read site.
+/// Every numeric knob (core/machine.cpp reads DPF_VPS and DPF_WORKERS)
+/// goes through this one helper so every read site rejects invalid values
+/// identically, and so the warning fires once per knob per process rather
+/// than once per read site.
 
 namespace dpf::env {
 

@@ -186,7 +186,6 @@ void Machine::spmd_raw(RegionFn fn, void* ctx) {
     // Single-worker fast path: a plain inline loop, no handshake at all.
     drain(fn, ctx, &busy_[0].ns);
     if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);
-    if (BarrierHook h = barrier_hook_.load(std::memory_order_acquire)) h();
     return;
   }
 
@@ -223,9 +222,6 @@ void Machine::spmd_raw(RegionFn fn, void* ctx) {
     }
   }
   if (tracing) trace::region(serial, tr0, trace::now_ns(), vps_);
-  // Region barrier: every worker has arrived, so no post/fetch is concurrent
-  // with whatever the hook does (the shm backend drains its rings here).
-  if (BarrierHook h = barrier_hook_.load(std::memory_order_acquire)) h();
 }
 
 void Machine::reset_busy() {

@@ -104,7 +104,7 @@ void allgather_slots(std::vector<T>& slot) {
   const int p = m.vps();
   if (p <= 1) return;
   assert(slot.size() == static_cast<std::size_t>(p));
-  Transport& t = transport();
+  LocalTransport& t = transport();
   coll_detail::EngineRecord rec(CommPattern::AABC, 1, 1);
 
   // local[v*p + u] = slot u as known by VP v.
@@ -176,7 +176,7 @@ template <typename T>
   std::vector<T> vals(static_cast<std::size_t>(std::max(p, 1)), T{});
   vals[0] = root_value;
   if (p <= 1) return vals;
-  Transport& t = transport();
+  LocalTransport& t = transport();
   coll_detail::EngineRecord rec(CommPattern::Broadcast, 0, 1);
   const int rounds = coll_detail::log2_ceil(p);
   const std::uint64_t base = next_tags(static_cast<std::uint64_t>(rounds));

@@ -50,7 +50,7 @@ double probe_alpha() {
   Machine& m = Machine::instance();
   const int p = m.vps();
   constexpr int kRounds = 200;
-  Transport& t = transport();
+  LocalTransport& t = transport();
   double payload = 1.0;
   const auto t0 = clock_t_::now();
   if (p >= 2) {
@@ -166,36 +166,19 @@ CostModel& CostModel::instance() {
   return model;
 }
 
-namespace {
-
-/// Calibration slot of the currently selected transport backend.
-int backend_index() { return static_cast<int>(backend()); }
-
-}  // namespace
-
-bool CostModel::calibrated() const { return calibrated_[backend_index()]; }
-
-const CostModel::Params& CostModel::params() const {
-  return params_[backend_index()];
-}
-
 void CostModel::set_params(const Params& p) {
-  const int b = backend_index();
-  params_[b] = p;
-  calibrated_[b] = true;
+  params_ = p;
+  calibrated_ = true;
 }
 
 void CostModel::calibrate(bool force) {
   std::lock_guard<std::mutex> lock(mu_);
-  const int b = backend_index();
-  if (calibrated_[b] && !force) return;
+  if (calibrated_ && !force) return;
   assert(!Machine::instance().inside_region());
   Params p;
   p.radix = static_cast<int>(env_override("DPF_NET_RADIX", 4.0));
   p.contention = env_override("DPF_NET_CONTENTION", 0.33);
-  // Probes unless fully overridden from the environment. The probes route
-  // through transport(), so they price the selected backend — the shm
-  // ping-pong pays the real cross-process delivery and quiesce cost.
+  // Probes unless fully overridden from the environment.
   p.alpha = env_override("DPF_NET_ALPHA", 0.0);
   p.beta = env_override("DPF_NET_BETA", 0.0);
   p.gamma = env_override("DPF_NET_GAMMA", 0.0);
@@ -208,8 +191,8 @@ void CostModel::calibrate(bool force) {
     // fall back to a routing-scan estimate (the engine is unused there).
     p.delta = Machine::instance().vps() >= 2 ? probe_delta() : 8.0 * p.gamma;
   }
-  params_[b] = p;
-  calibrated_[b] = true;
+  params_ = p;
+  calibrated_ = true;
   // These parameters were just measured live; any earlier cache-served
   // install no longer describes what predict() uses.
   set_calibration_from_cache(false);

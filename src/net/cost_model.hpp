@@ -26,13 +26,6 @@
 /// with DPF_NET_ALPHA, DPF_NET_BETA, DPF_NET_GAMMA, DPF_NET_DELTA,
 /// DPF_NET_RADIX and DPF_NET_CONTENTION. Until calibrate() runs,
 /// predictions stay 0 and only hop counts are annotated.
-///
-/// Calibration is kept *per transport backend* (DPF_NET_BACKEND): the shm
-/// backend's messages take a real cross-process store-and-verify hop, so
-/// its alpha and delta are genuinely different from the local transport's.
-/// The probes run through net::transport(), so whichever backend is
-/// selected at calibrate() time is the one measured; calibrated(), params()
-/// and predict() always read the slot of the currently selected backend.
 
 #include <mutex>
 
@@ -53,19 +46,17 @@ class CostModel {
 
   static CostModel& instance();
 
-  /// Runs the calibration probes for the currently selected backend
-  /// (idempotent per backend unless `force`). Must be called from the
-  /// control thread, never inside an SPMD region.
+  /// Runs the calibration probes (idempotent unless `force`). Must be
+  /// called from the control thread, never inside an SPMD region.
   void calibrate(bool force = false);
 
-  /// True when the currently selected backend has been calibrated.
-  [[nodiscard]] bool calibrated() const;
+  /// True once calibrate() or set_params() has installed parameters.
+  [[nodiscard]] bool calibrated() const { return calibrated_; }
 
-  /// Parameters of the currently selected backend.
-  [[nodiscard]] const Params& params() const;
+  /// The installed parameters (defaults until calibrated()).
+  [[nodiscard]] const Params& params() const { return params_; }
 
-  /// Overrides the currently selected backend's parameters (tests, offline
-  /// what-if analysis).
+  /// Overrides the parameters (tests, offline what-if analysis).
   void set_params(const Params& p);
 
   /// Fat-tree hop distance between VPs a and b (0 when a == b).
@@ -101,10 +92,8 @@ class CostModel {
 
   [[nodiscard]] double pattern_hops_uncached(CommPattern pat, int p) const;
 
-  /// One slot per Backend enumerator, indexed by the selected backend.
-  static constexpr int kBackends = 2;
-  Params params_[kBackends];
-  bool calibrated_[kBackends] = {false, false};
+  Params params_;
+  bool calibrated_ = false;
   std::mutex mu_;  ///< serializes calibrate()
 };
 

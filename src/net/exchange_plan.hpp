@@ -47,7 +47,7 @@
 #include "core/types.hpp"
 #include "net/collectives.hpp"
 #include "net/net.hpp"
-#include "net/transport.hpp"
+#include "net/local_transport.hpp"
 #include "trace/trace.hpp"
 
 namespace dpf::net {
@@ -210,7 +210,7 @@ template <typename T>
 std::uint64_t planned_post(const PlanOp<T>* ops, std::size_t k) {
   static_assert(std::is_trivially_copyable_v<T>);
   Machine& m = Machine::instance();
-  Transport& t = transport();
+  LocalTransport& t = transport();
   std::uint64_t total = 0;
   for (std::size_t c = 0; c < k; ++c) {
     total += ops[c].plan->posted_bytes(sizeof(T));
@@ -269,7 +269,7 @@ void planned_local(const PlanOp<T>* ops, std::size_t k) {
 template <typename T>
 void planned_consume(const PlanOp<T>* ops, std::size_t k, bool include_local) {
   Machine& m = Machine::instance();
-  Transport& t = transport();
+  LocalTransport& t = transport();
   m.spmd([&](int d) {
     std::vector<T> q;
     for (std::size_t c = 0; c < k; ++c) {

@@ -42,7 +42,7 @@
 #include "core/machine.hpp"
 #include "core/types.hpp"
 #include "net/net.hpp"
-#include "net/transport.hpp"
+#include "net/local_transport.hpp"
 #include "trace/trace.hpp"
 
 namespace dpf::net {
@@ -59,7 +59,7 @@ std::uint64_t pack_and_post(index_t n_dst, const T* src,
                             const OwnerSrc& owner_src, std::uint64_t base,
                             int p) {
   Machine& m = Machine::instance();
-  Transport& t = transport();
+  LocalTransport& t = transport();
   std::vector<std::uint64_t> sent(static_cast<std::size_t>(p), 0);
   m.spmd([&](int s) {
     std::vector<std::vector<T>> bufs(static_cast<std::size_t>(p));
@@ -155,7 +155,7 @@ class [[nodiscard]] ExchangeHandle {
   void complete() {
     assert(pending());
     Machine& m = Machine::instance();
-    Transport& t = transport();
+    LocalTransport& t = transport();
     const bool skip_local = local_done_;
     m.spmd([&](int d) {
       std::vector<std::vector<T>> in(static_cast<std::size_t>(p_));
@@ -300,7 +300,7 @@ class [[nodiscard]] CombineHandle {
   void complete() {
     assert(pending());
     Machine& m = Machine::instance();
-    Transport& t = transport();
+    LocalTransport& t = transport();
     m.spmd([&](int d) {
       std::vector<std::vector<T>> in(static_cast<std::size_t>(p_));
       std::vector<std::size_t> cur(static_cast<std::size_t>(p_), 0);

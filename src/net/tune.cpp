@@ -237,8 +237,8 @@ Tuner& Tuner::instance() {
 
 std::string Tuner::config_signature() {
   Machine& m = Machine::instance();
-  return std::string(backend_name(backend())) + "|vps=" +
-         std::to_string(m.vps()) + "|workers=" + std::to_string(m.workers());
+  return "vps=" + std::to_string(m.vps()) +
+         "|workers=" + std::to_string(m.workers());
 }
 
 bool Tuner::ready() const {

@@ -15,10 +15,8 @@
 /// predictions against short measured probes — real collectives on
 /// temporary arrays, run once per candidate mode under a forced ScopedMode
 /// with CommLog recording suppressed. The resulting decision table is keyed
-/// by the same configuration signature as the calibration cache
-/// (backend|vps|workers, engine-version folded in by dpf::serve) and is
-/// persisted alongside calibration.json entries, so a warm daemon probes at
-/// most once per configuration.
+/// by the machine configuration (vps|workers), so a process probes at most
+/// once per configuration.
 ///
 /// Dispatch: every comm primitive calls net::mode_for(pattern, bytes) at
 /// the top; under DPF_NET=auto that routes here (Tuner::choose). Every
@@ -69,12 +67,12 @@ struct TuneChoice {
   double predicted[kTuneModes] = {0.0, 0.0, 0.0};
 };
 
-/// The persisted decision table for one configuration signature.
+/// The decision table for one configuration signature.
 struct TuneTable {
   std::vector<TuneChoice> choices;
   /// SIMD recommendation from the kernel probe. Advisory: dispatch never
   /// flips vec mode behind the caller's back — dpfrun applies it only when
-  /// DPF_SIMD is unset, the daemon records it but leaves job knobs alone.
+  /// DPF_SIMD is unset.
   bool simd_on = true;
   double simd_ratio = 1.0;  ///< t_scalar / t_simd from the probe
 };
@@ -85,10 +83,7 @@ class Tuner {
  public:
   static Tuner& instance();
 
-  /// The configuration a decision table is valid for:
-  /// "backend|vps=N|workers=M" — the same axes as the calibration-cache
-  /// key (dpf::serve prepends the hostname and folds the engine version
-  /// into the persisted form).
+  /// The configuration a decision table is valid for: "vps=N|workers=M".
   [[nodiscard]] static std::string config_signature();
 
   /// True when a decision table for the *current* configuration signature
@@ -101,8 +96,8 @@ class Tuner {
   /// while a probe is already in flight or inside an SPMD region.
   void ensure();
 
-  /// Installs a table (from the calibration cache) for the current
-  /// configuration signature, skipping the probes.
+  /// Installs a handcrafted table for the current configuration signature,
+  /// skipping the probes (tests pin dispatch through it).
   void install(const TuneTable& table);
 
   /// Drops the installed table (tests; configuration teardown).

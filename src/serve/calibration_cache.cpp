@@ -111,8 +111,8 @@ CalibrationCache::CalibrationCache(std::string dir) : dir_(std::move(dir)) {
 
 std::string CalibrationCache::current_config_key() {
   Machine& m = Machine::instance();
-  return hostname() + "|" + net::backend_name(net::backend()) + "|vps=" +
-         std::to_string(m.vps()) + "|workers=" + std::to_string(m.workers());
+  return hostname() + "|vps=" + std::to_string(m.vps()) +
+         "|workers=" + std::to_string(m.workers());
 }
 
 bool CalibrationCache::prime() {

@@ -7,13 +7,12 @@
 /// The expensive per-invocation work of a one-shot dpfrun is not the
 /// benchmark — it is the probing around it: the peak-MFLOPS microkernel
 /// (~hundreds of ms) and the four cost-model probes (alpha ping-pong, beta
-/// copy sweep, gamma ownership scan, delta real exchange; the shm backend's
-/// variants fork a router pod to measure). All of these are stable machine
-/// properties per (backend, vps, workers) — OMI4papps' observation that
+/// copy sweep, gamma ownership scan, delta real exchange). All of these are
+/// stable machine properties per (vps, workers) — OMI4papps' observation that
 /// modelling constants persist across runs — so the daemon measures each
 /// configuration once and every later job installs the memoized values:
 ///
-///   prime()    before a job: if the current (backend, vps, workers) has an
+///   prime()    before a job: if the current (vps, workers) has an
 ///              entry, install it into CostModel + Machine and skip every
 ///              probe. Returns true on that hit.
 ///   capture()  after a cold calibration: read the freshly probed values
@@ -42,8 +41,8 @@ class CalibrationCache {
   /// (if present) and persists every capture() back to it.
   explicit CalibrationCache(std::string dir = {});
 
-  /// If the cache holds an entry for the *current* configuration (selected
-  /// net backend, Machine vps/workers), installs it: CostModel::set_params
+  /// If the cache holds an entry for the *current* configuration (Machine
+  /// vps/workers), installs it: CostModel::set_params
   /// plus Machine::set_peak_mflops, and flags the install as cache-served
   /// (net::set_calibration_from_cache). Returns true on that hit.
   [[nodiscard]] bool prime();

@@ -64,8 +64,9 @@ void DaemonClient::close() {
 
 Json knob_snapshot_from_env() {
   static constexpr const char* kKnobs[] = {
-      "DPF_NET",      "DPF_NET_BACKEND", "DPF_NET_PROCS",
-      "DPF_NET_SHM_RING", "DPF_SIMD",    "DPF_WORKERS",
+      "DPF_NET",
+      "DPF_SIMD",
+      "DPF_WORKERS",
   };
   Json j(Json::Object{});
   for (const char* name : kKnobs) {

@@ -52,7 +52,7 @@ class DaemonClient {
 
 /// Snapshot of the engine's environment knobs from this process's
 /// environment, for forwarding in a submit — the daemon then runs the job
-/// under the same DPF_NET / DPF_NET_BACKEND / ... the caller would have
+/// under the same DPF_NET / DPF_SIMD / DPF_WORKERS the caller would have
 /// used locally. Only set variables appear.
 [[nodiscard]] Json knob_snapshot_from_env();
 

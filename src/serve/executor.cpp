@@ -30,8 +30,9 @@ double monotonic_seconds() {
 /// passthrough: the daemon never lets a client set environment outside the
 /// knobs the engine itself reads.
 constexpr const char* kJobKnobs[] = {
-    "DPF_NET",      "DPF_NET_BACKEND", "DPF_NET_PROCS",
-    "DPF_NET_SHM_RING", "DPF_SIMD",    "DPF_WORKERS",
+    "DPF_NET",
+    "DPF_SIMD",
+    "DPF_WORKERS",
 };
 
 bool simd_env_on() {
@@ -227,7 +228,6 @@ Json Executor::run_one(Job& job, const std::string& name, bool last) {
   key.vps = m.vps();
   key.workers = m.workers();
   key.net_mode = net::mode_label();
-  key.net_backend = net::backend_name(net::backend());
   key.simd = vec::enabled();
   for (const auto& [k, v] : def->default_params) {
     key.params[k] = static_cast<long long>(v);
@@ -253,8 +253,7 @@ Json Executor::run_one(Job& job, const std::string& name, bool last) {
     const RunResult r = def->run_with_defaults(cfg);
     const double cold = monotonic_seconds() - run0;
     if (want_trace) {
-      trace::Snapshot snap = trace::collect();
-      net::merge_router_trace(snap);
+      const trace::Snapshot snap = trace::collect();
       Json tf = base_frame("trace", job);
       tf.set("benchmark", name)
           .set("summary", trace::format_trace_summary(snap));

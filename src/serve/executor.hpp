@@ -13,15 +13,14 @@
 /// executor pays them once per configuration and then amortizes.
 ///
 /// Per-job isolation: each job carries an environment-knob snapshot
-/// (DPF_NET, DPF_NET_BACKEND, DPF_NET_PROCS, DPF_NET_SHM_RING, DPF_SIMD,
-/// DPF_WORKERS). The executor installs the snapshot before the job and
-/// restores the daemon's own environment after, between jobs, while the
-/// machine workers are parked — mode/backend are re-read per collective, so
-/// the applied snapshot fully determines the job's formulation. Knobs
-/// outside this whitelist are ignored: a client cannot set arbitrary
-/// daemon environment. The machine reconfigures only when (vps, DPF_WORKERS)
+/// (DPF_NET, DPF_SIMD, DPF_WORKERS). The executor installs the snapshot
+/// before the job and restores the daemon's own environment after, between
+/// jobs, while the machine workers are parked — the mode is re-read per
+/// collective, so the applied snapshot fully determines the job's
+/// formulation. Knobs outside this whitelist are ignored: a client cannot
+/// set arbitrary daemon environment. The machine reconfigures only when (vps, DPF_WORKERS)
 /// actually changes, and the calibration cache is primed per
-/// (backend, vps, workers) so probes run at most once per configuration.
+/// (vps, workers) so probes run at most once per configuration.
 ///
 /// Results go through the content-addressed ResultStore first: an identical
 /// earlier run is streamed back without touching the machine at all.
@@ -86,7 +85,7 @@ class Executor {
   /// run with the same value would.
   int configured_worker_budget_ = 0;
 
-  /// backend|vps|workers key whose calibration is currently installed.
+  /// vps|workers key whose calibration is currently installed.
   std::string calibrated_key_;
 
   mutable std::mutex stats_mu_;

@@ -41,8 +41,8 @@ struct Job {
   std::string version = "basic";
   int vps = 0;                              ///< 0 = daemon default
   std::map<std::string, long long> params;
-  /// Job-scoped environment-knob snapshot (DPF_NET, DPF_NET_BACKEND,
-  /// DPF_SIMD, ...): applied for the duration of the job, restored after.
+  /// Job-scoped environment-knob snapshot (DPF_NET, DPF_SIMD,
+  /// DPF_WORKERS): applied for the duration of the job, restored after.
   std::map<std::string, std::string> knobs;
   bool no_cache = false;                    ///< bypass the result store
   bool trace_summary = false;               ///< stream a trace-summary frame

@@ -25,7 +25,6 @@ Json ResultKey::to_json() const {
       .set("vps", vps)
       .set("workers", workers)
       .set("net_mode", net_mode)
-      .set("net_backend", net_backend)
       .set("simd", simd)
       .set("params", Json(std::move(params_obj)))
       .set("engine", engine_version());
@@ -78,7 +77,6 @@ bool ResultRecord::from_json(const Json& j, ResultRecord* out) {
   out->key.vps = static_cast<int>(k["vps"].as_int());
   out->key.workers = static_cast<int>(k["workers"].as_int());
   out->key.net_mode = k["net_mode"].as_string();
-  out->key.net_backend = k["net_backend"].as_string();
   out->key.simd = k["simd"].as_bool(true);
   out->key.params.clear();
   for (const auto& [name, v] : k["params"].as_object()) {

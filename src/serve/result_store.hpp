@@ -4,12 +4,12 @@
 /// Content-addressed benchmark result store.
 ///
 /// A benchmark run is a pure function of its configuration: the suite's
-/// kernels are deterministic (bit-identical across DPF_NET modes, backends
-/// and SIMD toggles by construction), so a result can be served from a
+/// kernels are deterministic (bit-identical across DPF_NET modes and
+/// SIMD toggles by construction), so a result can be served from a
 /// store keyed by everything that feeds the computation:
 ///
-///   (benchmark, code version, vps, workers, net mode, net backend,
-///    simd flag, resolved params, engine version)
+///   (benchmark, code version, vps, workers, net mode, simd flag,
+///    resolved params, engine version)
 ///
 /// The address is the FNV-1a hash of the key's canonical JSON (sorted
 /// keys, exact doubles), in the spirit of HPCC_FPGA's machine-readable,
@@ -49,7 +49,6 @@ struct ResultKey {
   int vps = 0;
   int workers = 0;
   std::string net_mode = "direct";         ///< DPF_NET
-  std::string net_backend = "local";       ///< DPF_NET_BACKEND
   bool simd = true;                        ///< DPF_SIMD
   std::map<std::string, long long> params; ///< resolved (defaults merged)
 

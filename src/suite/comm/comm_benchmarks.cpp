@@ -8,6 +8,7 @@
 #include "core/ops.hpp"
 #include "core/registry.hpp"
 #include "core/rng.hpp"
+#include "suite/comm/scatter_check.hpp"
 #include "suite/register_all.hpp"
 
 namespace dpf::suite {
@@ -67,18 +68,8 @@ RunResult run_scatter(const RunConfig& cfg) {
   r.metrics = scope.stop();
   r.metrics.memory_bytes = mem.peak();
   // Every scattered location must hold a value from src.
-  double bad = 0;
-  for (index_t i = 0; i < n; ++i) {
-    if (dst[map[i]] != src[i]) {
-      // collisions: the last writer wins; verify dst holds *some* src value
-      bool found = false;
-      for (index_t j = i + 1; j < n && !found; ++j) {
-        if (map[j] == map[i] && dst[map[i]] == src[j]) found = true;
-      }
-      if (!found) bad += 1;
-    }
-  }
-  r.checks["residual"] = bad;
+  r.checks["residual"] = static_cast<double>(
+      lost_scatter_writes(dst.data(), src.data(), map.data()));
   return r;
 }
 

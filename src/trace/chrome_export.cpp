@@ -19,9 +19,6 @@ std::uint64_t base_time(const Snapshot& snap) {
   for (const WorkerTrace& w : snap.workers) {
     for (const Event& e : w.events) base = std::min(base, e.t0_ns);
   }
-  for (const ExternalTrack& x : snap.external) {
-    for (const Event& e : x.events) base = std::min(base, e.t0_ns);
-  }
   return base == std::numeric_limits<std::uint64_t>::max() ? 0 : base;
 }
 
@@ -60,9 +57,6 @@ const char* event_name(const Event& e, char* buf, std::size_t n) {
                     pat.data());
       return buf;
     }
-    case EventKind::Deliver:
-      std::snprintf(buf, n, "deliver %u->%u", e.x, e.y);
-      return buf;
   }
   return "?";
 }
@@ -82,8 +76,6 @@ const char* category(EventKind k) {
       return "pool";
     case EventKind::Overlap:
       return "comm";
-    case EventKind::Deliver:
-      return "net";
   }
   return "?";
 }
@@ -180,36 +172,6 @@ bool write_chrome_trace(const std::string& path, const Snapshot& snap) {
           break;
       }
       std::fprintf(f, "}}");
-    }
-  }
-
-  // External tracks (e.g. shm-backend router processes) render as their own
-  // process rows so cross-process delivery lines up against the worker
-  // timelines on the shared monotonic clock.
-  if (!snap.external.empty()) {
-    sep();
-    std::fprintf(f,
-                 "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-                 "\"args\":{\"name\":\"dpf net\"}}");
-    int tid = 0;
-    for (const ExternalTrack& x : snap.external) {
-      sep();
-      std::fprintf(f,
-                   "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":"
-                   "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                   tid, x.name.c_str());
-      for (const Event& e : x.events) {
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
-                     "\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"%s\","
-                     "\"args\":{\"bytes\":%" PRIu64 ",\"src\":%u,\"dst\":%u}}",
-                     tid, us(e.t0_ns, base),
-                     static_cast<double>(e.t1_ns - e.t0_ns) / 1000.0,
-                     event_name(e, name, sizeof(name)), category(e.kind),
-                     e.arg, e.x, e.y);
-      }
-      ++tid;
     }
   }
 

@@ -193,14 +193,12 @@ void pool_mark(bool acquire, std::uint64_t capacity_bytes, bool reused) {
 std::size_t Snapshot::event_count() const {
   std::size_t n = 0;
   for (const WorkerTrace& w : workers) n += w.events.size();
-  for (const ExternalTrack& x : external) n += x.events.size();
   return n;
 }
 
 std::uint64_t Snapshot::dropped_count() const {
   std::uint64_t n = 0;
   for (const WorkerTrace& w : workers) n += w.dropped;
-  for (const ExternalTrack& x : external) n += x.dropped;
   return n;
 }
 

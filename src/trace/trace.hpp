@@ -32,7 +32,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dpf::trace {
@@ -59,7 +58,6 @@ enum class EventKind : std::uint8_t {
   PoolAcquire,  ///< TemporaryPool acquire mark (full mode, instant)
   PoolRelease,  ///< TemporaryPool release mark (full mode, instant)
   Overlap,      ///< split-phase in-flight window (post done -> completion)
-  Deliver,      ///< shm-backend router delivery span (external track)
 };
 
 /// One timeline event. Field use by kind:
@@ -73,8 +71,6 @@ enum class EventKind : std::uint8_t {
 ///   Overlap     t0/t1 span (the window between the end of a split-phase
 ///               posting phase and the start of its completion — caller
 ///               compute ran here), arg = bytes in flight, pattern
-///   Deliver     t0/t1 span (router checksum walk), arg = bytes,
-///               x = src VP, y = dst VP (external tracks only)
 struct Event {
   std::uint64_t t0_ns = 0;
   std::uint64_t t1_ns = 0;
@@ -212,20 +208,10 @@ struct WorkerTrace {
   std::vector<Event> events;  ///< oldest first
 };
 
-/// A timeline recorded outside the worker pool and merged at export time —
-/// e.g. one shm-backend router process's delivery events, read back from
-/// its shared-memory event ring.
-struct ExternalTrack {
-  std::string name;           ///< track label in exports
-  std::uint64_t dropped = 0;  ///< events lost to ring overflow
-  std::vector<Event> events;  ///< oldest first
-};
-
 /// A point-in-time flush of every ring.
 struct Snapshot {
-  std::vector<WorkerTrace> workers;      ///< indexed by worker id
-  std::vector<ExternalTrack> external;   ///< merged non-worker timelines
-  std::uint64_t unbound_events = 0;      ///< emits from unregistered threads
+  std::vector<WorkerTrace> workers;  ///< indexed by worker id
+  std::uint64_t unbound_events = 0;  ///< emits from unregistered threads
 
   [[nodiscard]] std::size_t event_count() const;
   [[nodiscard]] std::uint64_t dropped_count() const;

@@ -31,7 +31,7 @@ class NetTransportTest : public ::testing::Test {
 
 TEST_F(NetTransportTest, PostThenFetchAcrossRegions) {
   Machine& m = Machine::instance();
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   const std::uint64_t tag = net::next_tag();
   const double sent = 42.5;
   m.spmd([&](int v) {
@@ -52,14 +52,14 @@ TEST_F(NetTransportTest, PostThenFetchAcrossRegions) {
 }
 
 TEST_F(NetTransportTest, FetchWithoutMessageReturnsFalse) {
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   double got = 0.0;
   EXPECT_FALSE(t.try_fetch(1, 0, net::next_tag(), &got, sizeof(got)));
 }
 
 TEST_F(NetTransportTest, TagsKeepMessagesApart) {
   Machine& m = Machine::instance();
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   const std::uint64_t ta = net::next_tag();
   const std::uint64_t tb = net::next_tag();
   const int a = 1, b = 2;
@@ -83,7 +83,7 @@ TEST_F(NetTransportTest, TagsKeepMessagesApart) {
 
 TEST_F(NetTransportTest, SameTagIsFifo) {
   Machine& m = Machine::instance();
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   const std::uint64_t tag = net::next_tag();
   const int first = 7, second = 9;
   m.spmd([&](int v) {
@@ -105,7 +105,7 @@ TEST_F(NetTransportTest, SameTagIsFifo) {
 
 TEST_F(NetTransportTest, ProbeReportsPendingSize) {
   Machine& m = Machine::instance();
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   const std::uint64_t tag = net::next_tag();
   const std::vector<double> payload(13, 1.0);
   EXPECT_EQ(t.probe(3, 0, tag), -1);
@@ -123,7 +123,7 @@ TEST_F(NetTransportTest, ProbeReportsPendingSize) {
 }
 
 TEST_F(NetTransportTest, ResizeFollowsMachineReconfigure) {
-  net::Transport& t = net::transport();
+  net::LocalTransport& t = net::transport();
   EXPECT_EQ(t.endpoints(), 4);
   Machine::instance().configure(7);
   EXPECT_EQ(net::transport().endpoints(), 7);

@@ -14,13 +14,15 @@
 ///
 /// `--daemon` routes the command to a running dpfd (tools/dpfd.cpp) over
 /// its Unix socket instead of executing in-process: the submit carries the
-/// caller's DPF_NET / DPF_NET_BACKEND / DPF_SIMD / ... environment knobs,
-/// the daemon runs the job on its warm machine (or serves it straight from
-/// the content-addressed result store) and streams the frames back. Exit
-/// code 4 means the daemon was unreachable. `--checks-hex` appends each
-/// check value's raw IEEE-754 bit pattern to the output — the bit-identity
-/// comparison surface used to prove daemon-served results match one-shot
-/// runs exactly.
+/// caller's DPF_NET / DPF_SIMD / DPF_WORKERS environment knobs, the daemon
+/// runs the job on its warm machine (or serves it straight from the
+/// content-addressed result store) and streams the frames back. Exit code 4
+/// means the daemon was unreachable.
+///
+/// `--checks-hex` appends each check value's raw IEEE-754 bit pattern to
+/// the output — the bit-identity comparison surface: diffing it across net
+/// modes, SIMD settings, source revisions or daemon-served vs one-shot runs
+/// proves results match exactly.
 ///
 /// An unknown benchmark name exits with code 3 and a "did you mean"
 /// suggestion list (distinct from 2, the usage-error exit).
@@ -37,10 +39,6 @@
 /// formulations, or DPF_NET=overlap for the split-phase variants — the
 /// comm report then adds the per-pattern `overlap s` column (time payload
 /// sat in flight behind caller compute) and a split-phase event summary.
-/// DPF_NET_BACKEND=shm routes the messages through the multi-process
-/// shared-memory transport; the comm report header names the backend and
-/// adds a router-pod status line, and a Chrome trace gains one "dpf net"
-/// track per router process with its delivery spans.
 ///
 /// DPF_NET=auto hands the mode decision to the dpf::tune autotuner: the
 /// cost model is calibrated, a short probe pass picks a mode per (pattern
@@ -54,10 +52,11 @@
 ///   dpfrun run lu --trace lu.json
 ///   DPF_NET=algorithmic dpfrun run transpose --vps=16 --report comm
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
-///   DPF_NET=algorithmic DPF_NET_BACKEND=shm dpfrun run fft --report comm
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,9 +67,7 @@
 #include "core/machine.hpp"
 #include "core/registry.hpp"
 #include "net/net.hpp"
-#include "net/proc.hpp"
 #include "net/tune.hpp"
-#include "net/shm_transport.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "suite/register_all.hpp"
@@ -121,15 +118,8 @@ int cmd_list(bool long_mode) {
   if (long_mode) {
     std::printf(
         "\nnet knobs (current values):\n"
-        "  DPF_NET=%s          direct|algorithmic|overlap|auto formulation\n"
-        "  DPF_NET_BACKEND=%s  local|shm transport (shm = multi-process "
-        "router pod)\n"
-        "  DPF_NET_PROCS=%d    router processes for the shm backend "
-        "(0 = self-delivery)\n"
-        "  DPF_NET_SHM_RING    per-pair ring bytes for the shm backend "
-        "(default 4 MiB)\n",
-        net::mode_label(), net::backend_name(net::backend()),
-        net::proc::env_procs(Machine::instance().vps()));
+        "  DPF_NET=%s  direct|algorithmic|overlap|auto formulation\n",
+        net::mode_label());
   }
   return 0;
 }
@@ -290,13 +280,9 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   if (chrome_trace || report_trace) trace::reset();
   const auto r = def->run_with_defaults(cfg);
   // Flush the timeline once, before the peak-MFLOPS calibration below can
-  // append its own regions to the rings. The shm backend's router-process
-  // delivery timelines merge in as external tracks.
+  // append its own regions to the rings.
   trace::Snapshot trace_snap;
-  if (chrome_trace || report_trace) {
-    trace_snap = trace::collect();
-    net::merge_router_trace(trace_snap);
-  }
+  if (chrome_trace || report_trace) trace_snap = trace::collect();
   if (chrome_trace) {
     if (trace::write_chrome_trace(trace_path, trace_snap)) {
       std::printf("timeline trace written to %s (open in Perfetto)\n",
@@ -325,12 +311,13 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     std::printf("  %-22s %.8g\n", k.c_str(), v);
   }
   if (checks_hex) {
-    // Raw IEEE-754 bit patterns: the exact comparison surface for the
-    // daemon-vs-standalone bit-identity tests.
+    // Raw IEEE-754 bit patterns: the exact comparison surface for
+    // bit-identity checks across modes, settings and revisions.
     std::printf("\nchecks-hex:\n");
     for (const auto& [k, v] : r.checks) {
-      std::printf("  %-22s %s\n", k.c_str(),
-                  serve::double_to_hex(v).c_str());
+      std::printf("  %-22s %016llx\n", k.c_str(),
+                  static_cast<unsigned long long>(
+                      std::bit_cast<std::uint64_t>(v)));
     }
   }
   if (report_comm) {
@@ -354,27 +341,12 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
       a.overlap += e.overlap_seconds;
       a.predicted += e.predicted_seconds;
     }
-    net::Transport& tp = net::transport();
-    std::printf(
-        "\ncommunication report (DPF_NET=%s, backend %s, transport %s, "
-        "%d VPs):\n",
-        net::mode_label(), net::backend_name(net::backend()),
-        tp.name(), Machine::instance().vps());
-    const auto ts = tp.stats();
+    std::printf("\ncommunication report (DPF_NET=%s, %d VPs):\n",
+                net::mode_label(), Machine::instance().vps());
+    const auto ts = net::transport().stats();
     std::printf("  transport traffic      : %llu messages, %llu bytes\n",
                 static_cast<unsigned long long>(ts.messages),
                 static_cast<unsigned long long>(ts.bytes));
-    if (net::ShmTransport::created() &&
-        net::ShmTransport::instance().running()) {
-      const auto& s = net::ShmTransport::instance();
-      std::printf(
-          "  shm backend            : %d router procs, %llu B/pair ring, "
-          "%llu delivered, %llu overflowed, %llu respawns\n",
-          s.procs(), static_cast<unsigned long long>(s.ring_capacity()),
-          static_cast<unsigned long long>(s.delivered_messages()),
-          static_cast<unsigned long long>(s.overflow_posts()),
-          static_cast<unsigned long long>(s.respawns()));
-    }
     std::printf("  %-20s %5s %8s %12s %12s %12s %12s %12s %8s\n", "pattern",
                 "ranks", "count", "bytes", "offproc B", "measured s",
                 "overlap s", "predicted s", "ovl eff");
