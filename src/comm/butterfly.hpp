@@ -79,6 +79,9 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
       for (index_t i = lo; i < hi; ++i) dp[i] = sp[i ^ h];
     });
   }
+  // Stop the clock before the off-processor accounting: the sweep below is
+  // our bookkeeping, not transfer time.
+  const double seconds = timer.seconds();
 
   // The ownership sweep is a pure function of (h, shapes, layouts, p) —
   // memoized so an FFT's log2(n) distinct stage distances each scan once
@@ -108,8 +111,7 @@ void butterfly_into(Array<T, R>& dst, const Array<T, R>& src, index_t h) {
                          ps.seconds, ps.overlap_seconds, ps.blocks);
   } else {
     detail::record(CommPattern::Butterfly, static_cast<int>(R),
-                   static_cast<int>(R), src.bytes(), offproc, h,
-                   timer.seconds());
+                   static_cast<int>(R), src.bytes(), offproc, h, seconds);
   }
 }
 

@@ -178,6 +178,9 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
       shift_detail::rotate_range(dp, sp, slab, rot, lo, hi);
     });
   }
+  // Stop the clock before the off-processor accounting: the sweep below is
+  // our bookkeeping, not transfer time.
+  const double seconds = timer.seconds();
 
   index_t offproc = 0;
   const int procs_here = src.layout().procs_on_axis(axis, p);
@@ -189,7 +192,7 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     offproc = moved * (src.bytes() / n);
   }
   detail::record(pattern, static_cast<int>(R), static_cast<int>(R),
-                 src.bytes(), offproc, 0, timer.seconds());
+                 src.bytes(), offproc, 0, seconds);
 }
 
 /// Returns cshift(src, axis, s) as a library temporary.
@@ -379,6 +382,9 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
                                   hi);
     });
   }
+  // Stop the clock before the off-processor accounting: the sweep below is
+  // our bookkeeping, not transfer time.
+  const double seconds = timer.seconds();
 
   index_t offproc = 0;
   const int procs_here = src.layout().procs_on_axis(axis, p);
@@ -393,8 +399,7 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
     offproc = moved * (src.bytes() / n);
   }
   detail::record(CommPattern::EOShift, static_cast<int>(R),
-                 static_cast<int>(R), src.bytes(), offproc, 0,
-                 timer.seconds());
+                 static_cast<int>(R), src.bytes(), offproc, 0, seconds);
 }
 
 /// Returns eoshift(src, axis, s, boundary) as a library temporary.

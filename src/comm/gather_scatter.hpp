@@ -29,6 +29,9 @@ template <typename T, std::size_t R>
   return detail::owner_id_linear(a, i);
 }
 
+/// Off-processor bytes of one gather/scatter: an O(map) accounting sweep.
+/// Callers read their OpTimer before calling it, so the sweep is never
+/// booked as transfer time.
 template <typename TD, typename TS, std::size_t RD, std::size_t RS>
 [[nodiscard]] index_t offproc_bytes(const Array<TD, RD>& dst,
                                     const Array<TS, RS>& src,
@@ -91,10 +94,11 @@ void gather_into(Array<T, RD>& dst, const Array<T, RS>& src,
       }
     });
   }
+  const double seconds = timer.seconds();
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
                  dst.bytes(),
                  gs_detail::offproc_bytes(dst, src, map, /*map_src=*/true), 0,
-                 timer.seconds());
+                 seconds);
 }
 
 /// dst[i] = sum over j with map[j] == i of src[j], added onto dst
@@ -125,11 +129,12 @@ void gather_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
       dst[map[j]] += src[j];
     }
   }
+  const double seconds = timer.seconds();
   flops::add(flops::Kind::AddSubMul, src.size());
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
                  src.bytes(),
                  gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+                 seconds);
 }
 
 /// dst[map[j]] = src[j] (CMF "send overwrite"); on collisions the highest j
@@ -156,10 +161,11 @@ void scatter_into(Array<T, RD>& dst, const Array<T, RS>& src,
       dst[map[j]] = src[j];
     }
   }
+  const double seconds = timer.seconds();
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
                  src.bytes(),
                  gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+                 seconds);
 }
 
 /// dst[map[j]] += src[j] (CMF "send with add"). One FLOP per source element.
@@ -184,11 +190,12 @@ void scatter_add_into(Array<T, RD>& dst, const Array<T, RS>& src,
       dst[map[j]] += src[j];
     }
   }
+  const double seconds = timer.seconds();
   flops::add(flops::Kind::AddSubMul, src.size());
   detail::record(pattern, static_cast<int>(RS), static_cast<int>(RD),
                  src.bytes(),
                  gs_detail::offproc_bytes(src, dst, map, /*map_src=*/true), 0,
-                 timer.seconds());
+                 seconds);
 }
 
 /// Convenience wrappers recording the Send/Get patterns the paper's tables

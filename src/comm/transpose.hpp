@@ -112,14 +112,16 @@ void transpose_into(Array<T, 2>& dst, const Array<T, 2>& src) {
       [&](index_t L) { return detail::owner_id_linear(dst, L); },
       [&](index_t J) { return detail::owner_id_linear(src, J); });
   if (!ps.used) transpose_detail::direct_tiles(dst, src);
+  // Stop the clock before the off-processor accounting: the sweep below is
+  // our bookkeeping, not transfer time.
+  const double seconds = timer.seconds();
 
   const index_t offproc = transpose_detail::offproc_bytes(dst, src, p);
   if (ps.split) {
     detail::record_split(CommPattern::AAPC, 2, 2, src.bytes(), offproc, 0,
                          ps.seconds, ps.overlap_seconds, ps.blocks);
   } else {
-    detail::record(CommPattern::AAPC, 2, 2, src.bytes(), offproc, 0,
-                   timer.seconds());
+    detail::record(CommPattern::AAPC, 2, 2, src.bytes(), offproc, 0, seconds);
   }
 }
 

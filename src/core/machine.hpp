@@ -97,25 +97,12 @@ class Machine {
   /// Calibrated lazily by a fused multiply-add microkernel on every VP.
   [[nodiscard]] double peak_mflops();
 
-  /// Installs a peak-FLOPs figure measured earlier (the dpf::serve
-  /// calibration cache persists the probe per (vps, workers) so a warm
-  /// daemon never re-runs the microkernel). `v <= 0` clears the
-  /// calibration, forcing peak_mflops() to re-probe — the reuse/reset
-  /// contract for configurations the cache has never seen. The probe's
-  /// result scales with the VP count, so callers must key stored values by
-  /// the configuration they were measured under.
-  void set_peak_mflops(double v) { peak_mflops_ = v > 0.0 ? v : 0.0; }
-
-  /// True once peak_mflops() has been probed or set_peak_mflops() primed.
-  [[nodiscard]] bool peak_calibrated() const { return peak_mflops_ > 0.0; }
-
   /// Default VP count: DPF_VPS environment variable if set, else 4.
   [[nodiscard]] static int default_vps();
 
   /// Worker-thread budget: DPF_WORKERS if set (clamp-or-ignore via
   /// env::int_or), else hardware concurrency. configure() caps the live
-  /// pool at min(worker_budget(), vps); the dpfd executor compares this
-  /// value between jobs to decide whether a reconfigure is needed.
+  /// pool at min(worker_budget(), vps).
   [[nodiscard]] static int worker_budget();
 
   /// Serial number of the last top-level SPMD region started (nested inline

@@ -193,9 +193,6 @@ void CostModel::calibrate(bool force) {
   }
   params_ = p;
   calibrated_ = true;
-  // These parameters were just measured live; any earlier cache-served
-  // install no longer describes what predict() uses.
-  set_calibration_from_cache(false);
 }
 
 int CostModel::hops(int a, int b) const {

@@ -14,7 +14,6 @@ namespace dpf::net {
 namespace {
 
 std::atomic<std::uint64_t> tag_counter{1};
-std::atomic<bool> calibration_cache_hit{false};
 
 LocalTransport& local_transport() {
   static LocalTransport t(Machine::instance().vps());
@@ -121,13 +120,5 @@ void annotate(CommEvent& e) {
 }
 
 void calibrate(bool force) { CostModel::instance().calibrate(force); }
-
-void set_calibration_from_cache(bool hit) {
-  calibration_cache_hit.store(hit, std::memory_order_relaxed);
-}
-
-bool calibration_from_cache() {
-  return calibration_cache_hit.load(std::memory_order_relaxed);
-}
 
 }  // namespace dpf::net

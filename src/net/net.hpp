@@ -99,12 +99,4 @@ void annotate(CommEvent& e);
 /// Control thread only.
 void calibrate(bool force = false);
 
-/// Whether the currently installed cost-model parameters came from a
-/// persisted calibration cache (dpf::serve) rather than live probes. Live
-/// probing clears the flag; CalibrationCache::prime() sets it. dpfd result
-/// frames surface it as `calibration_cache_hit` so daemon-served runs are
-/// distinguishable.
-void set_calibration_from_cache(bool hit);
-[[nodiscard]] bool calibration_from_cache();
-
 }  // namespace dpf::net

@@ -1,29 +1,23 @@
-// The dpf::tune autotuner (DPF_NET=auto): decision-table persistence
-// through the calibration cache, stale-table invalidation on an engine
-// version change, bit-identity of tuned dispatch against the direct
-// formulation across the whole registry, and the perf_gate.py edge cases
-// (malformed input, sub-floor --update) driven through real subprocesses.
+// The dpf::tune autotuner (DPF_NET=auto): the installed decision table is
+// dropped when the configuration changes, tuned dispatch is bit-identical
+// to the direct formulation across the whole registry, and the
+// perf_gate.py edge cases (malformed input, sub-floor --update) are driven
+// through real subprocesses.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "core/registry.hpp"
-#include "net/cost_model.hpp"
 #include "net/net.hpp"
 #include "net/tune.hpp"
-#include "serve/calibration_cache.hpp"
-#include "serve/result_store.hpp"
 #include "suite/register_all.hpp"
 
 namespace dpf {
@@ -88,107 +82,22 @@ class TuneTableTest : public ::testing::Test {
   }
 };
 
-TEST_F(TuneTableTest, DecisionTableRoundTripsThroughCalibrationJson) {
-  const std::string dir = temp_dir("tune");
-  ASSERT_FALSE(dir.empty());
+TEST_F(TuneTableTest, InstalledTableDroppedOnReconfigure) {
+  // The table is keyed by the configuration it was installed under; a
+  // reconfigure must make it unusable so the next dispatch re-probes.
+  net::Tuner& tuner = net::Tuner::instance();
+  tuner.install(mixed_table());
+  ASSERT_TRUE(tuner.ready());
+  EXPECT_EQ("vps=4|workers=4", net::Tuner::config_signature());
 
-  // Known cost-model params and peak, so capture() runs no probes and the
-  // loaded entry passes the cache's positive-constants validation.
-  net::CostModel::Params p;
-  p.alpha = 1e-6;
-  p.beta = 1e-9;
-  p.gamma = 2e-9;
-  p.delta = 3e-9;
-  net::CostModel::instance().set_params(p);
-  Machine::instance().set_peak_mflops(1234.5);
+  Machine::instance().configure(8);
+  EXPECT_FALSE(tuner.ready());
 
-  const net::TuneTable table = mixed_table();
-  net::Tuner::instance().install(table);
-  ASSERT_TRUE(net::Tuner::instance().ready());
-  {
-    serve::CalibrationCache cache(dir);
-    cache.capture();
-  }
-
-  // A fresh cache over the same directory (daemon restart) must restore
-  // the table without any probing.
-  net::Tuner::instance().invalidate();
-  ASSERT_FALSE(net::Tuner::instance().ready());
-  serve::CalibrationCache reopened(dir);
-  EXPECT_EQ(1u, reopened.entries());
-  ASSERT_TRUE(reopened.prime());
-  ASSERT_TRUE(net::Tuner::instance().ready());
-
-  const net::TuneTable& got = net::Tuner::instance().table();
-  ASSERT_EQ(table.choices.size(), got.choices.size());
-  for (std::size_t i = 0; i < table.choices.size(); ++i) {
-    const net::TuneChoice& a = table.choices[i];
-    const net::TuneChoice& b = got.choices[i];
-    EXPECT_EQ(a.klass, b.klass) << "cell " << i;
-    EXPECT_EQ(a.log2_bytes, b.log2_bytes) << "cell " << i;
-    EXPECT_EQ(a.chosen, b.chosen) << "cell " << i;
-    EXPECT_EQ(a.blocks, b.blocks) << "cell " << i;
-    for (int m = 0; m < net::kTuneModes; ++m) {
-      EXPECT_DOUBLE_EQ(a.measured[m], b.measured[m]) << "cell " << i;
-      EXPECT_DOUBLE_EQ(a.predicted[m], b.predicted[m]) << "cell " << i;
-    }
-  }
-  EXPECT_EQ(table.simd_on, got.simd_on);
-  EXPECT_DOUBLE_EQ(table.simd_ratio, got.simd_ratio);
-
-  // The tuned choices drive dispatch: the large-shift cell says overlap,
-  // the large-exchange cell says overlap with 2 pipelined blocks.
-  EXPECT_EQ(net::Mode::Overlap,
-            net::Tuner::instance().choose(CommPattern::CShift, 1u << 19));
-  EXPECT_EQ(2, net::Tuner::instance().blocks_for(CommPattern::AAPC,
-                                                 1u << 19));
-}
-
-TEST_F(TuneTableTest, EngineVersionChangeDropsTableKeepsParams) {
-  const std::string dir = temp_dir("tunestale");
-  ASSERT_FALSE(dir.empty());
-
-  net::CostModel::Params p;
-  p.alpha = 1e-6;
-  p.beta = 1e-9;
-  p.gamma = 2e-9;
-  p.delta = 3e-9;
-  net::CostModel::instance().set_params(p);
-  Machine::instance().set_peak_mflops(987.0);
-  net::Tuner::instance().install(mixed_table());
-  {
-    serve::CalibrationCache cache(dir);
-    cache.capture();
-  }
-
-  // Simulate a calibration.json written by an older engine build: the
-  // decision evidence is stale, the hardware constants are not.
-  const std::string path = dir + "/calibration.json";
-  std::string text;
-  {
-    std::ifstream in(path);
-    ASSERT_TRUE(static_cast<bool>(in));
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
-  const std::string cur = serve::engine_version();
-  const auto at = text.find(cur);
-  ASSERT_NE(std::string::npos, at) << "engine version not in " << path;
-  text.replace(at, cur.size(), "dpf-engine-0");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-  }
-
-  net::Tuner::instance().invalidate();
-  Machine::instance().set_peak_mflops(0.0);
-  serve::CalibrationCache reopened(dir);
-  EXPECT_EQ(1u, reopened.entries());
-  EXPECT_TRUE(reopened.prime());  // params still prime...
-  EXPECT_DOUBLE_EQ(987.0, Machine::instance().peak_mflops());
-  // ...but the stale table must NOT be installed.
-  EXPECT_FALSE(net::Tuner::instance().ready());
+  tuner.install(mixed_table());
+  ASSERT_TRUE(tuner.ready());
+  tuner.invalidate();
+  EXPECT_FALSE(tuner.ready());
+  EXPECT_TRUE(tuner.table().choices.empty());
 }
 
 // --- tuned dispatch bit-identity across the whole registry -----------------

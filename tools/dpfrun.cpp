@@ -8,21 +8,11 @@
 ///                          [--vps=N] [--set key=value ...]
 ///                          [--trace FILE.json|FILE.csv]
 ///                          [--report comm|trace|tune] [--checks-hex]
-///   dpfrun --daemon[=SOCKET] run <benchmark> [run options]
-///                                [--no-cache] [--timeout=SECONDS]
-///   dpfrun --daemon[=SOCKET] ping | stats | drain
-///
-/// `--daemon` routes the command to a running dpfd (tools/dpfd.cpp) over
-/// its Unix socket instead of executing in-process: the submit carries the
-/// caller's DPF_NET / DPF_SIMD / DPF_WORKERS environment knobs, the daemon
-/// runs the job on its warm machine (or serves it straight from the
-/// content-addressed result store) and streams the frames back. Exit code 4
-/// means the daemon was unreachable.
 ///
 /// `--checks-hex` appends each check value's raw IEEE-754 bit pattern to
 /// the output — the bit-identity comparison surface: diffing it across net
-/// modes, SIMD settings, source revisions or daemon-served vs one-shot runs
-/// proves results match exactly.
+/// modes, SIMD settings, worker counts or source revisions proves results
+/// match exactly.
 ///
 /// An unknown benchmark name exits with code 3 and a "did you mean"
 /// suggestion list (distinct from 2, the usage-error exit).
@@ -53,8 +43,6 @@
 ///   DPF_NET=algorithmic dpfrun run transpose --vps=16 --report comm
 ///   DPF_NET=overlap dpfrun run fem-3D --vps=16 --report comm
 
-#include <unistd.h>
-
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -68,8 +56,6 @@
 #include "core/registry.hpp"
 #include "net/net.hpp"
 #include "net/tune.hpp"
-#include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "suite/register_all.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/summary.hpp"
@@ -437,166 +423,6 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   return (it != r.checks.end() && it->second > 1e-3) ? 1 : 0;
 }
 
-/// Exit code when the daemon socket is unreachable (distinct from run
-/// failures so wrappers can fall back to a local run).
-constexpr int kExitDaemonUnreachable = 4;
-
-void print_daemon_result(const serve::Json& f, bool checks_hex) {
-  const serve::Json& rec = f["record"];
-  const serve::Json& m = rec["metrics"];
-  std::printf("%s%s\n", f["benchmark"].as_string().c_str(),
-              f["cache_hit"].as_bool() ? "  [result-store hit]" : "");
-  std::printf("  busy time              : %.6f s\n",
-              m["busy_seconds"].as_number());
-  std::printf("  elapsed time           : %.6f s\n",
-              m["elapsed_seconds"].as_number());
-  std::printf("  busy rate              : %.2f MFLOPS\n",
-              m["busy_mflops"].as_number());
-  std::printf("  elapsed rate           : %.2f MFLOPS\n",
-              m["elapsed_mflops"].as_number());
-  std::printf("  served in              : %.6f s (cold run: %.6f s)\n",
-              f["serve_elapsed_s"].as_number(),
-              rec["cold_elapsed_s"].as_number());
-  std::printf("  address                : %s  checksum %s\n",
-              f["address"].as_string().c_str(),
-              f["checksum"].as_string().c_str());
-  if (f["calibration_cache_hit"].as_bool()) {
-    std::printf("  calibration            : from cache\n");
-  }
-  std::printf("checks:\n");
-  for (const auto& [k, v] : rec["checks"].as_object()) {
-    std::printf("  %-22s %.8g\n", k.c_str(), v["value"].as_number());
-  }
-  if (checks_hex) {
-    std::printf("checks-hex:\n");
-    for (const auto& [k, v] : rec["checks"].as_object()) {
-      std::printf("  %-22s %s\n", k.c_str(), v["bits"].as_string().c_str());
-    }
-  }
-}
-
-int cmd_daemon(const std::string& socket,
-               const std::vector<std::string>& args) {
-  serve::DaemonClient client;
-  std::string err;
-  if (!client.connect(socket, &err)) {
-    std::fprintf(stderr, "dpfrun: cannot reach dpfd: %s\n", err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: dpfrun --daemon[=SOCKET] run <name> [options] | "
-                 "ping | stats | drain\n");
-    return 2;
-  }
-  const std::string& cmd = args[0];
-  if (cmd == "ping" || cmd == "stats" || cmd == "drain") {
-    serve::Json req(serve::Json::Object{});
-    req.set("op", cmd);
-    const serve::Json reply = client.request(req, &err);
-    if (reply.is_null()) {
-      std::fprintf(stderr, "dpfrun: daemon request failed: %s\n",
-                   err.c_str());
-      return kExitDaemonUnreachable;
-    }
-    std::printf("%s\n", reply.dump().c_str());
-    return 0;
-  }
-  if (cmd != "run" || args.size() < 2) {
-    std::fprintf(stderr,
-                 "usage: dpfrun --daemon[=SOCKET] run <name> [options] | "
-                 "ping | stats | drain\n");
-    return 2;
-  }
-  serve::Json submit(serve::Json::Object{});
-  submit.set("op", "submit")
-      .set("client", "dpfrun-" + std::to_string(::getpid()))
-      .set("benchmark", args[1])
-      .set("knobs", serve::knob_snapshot_from_env());
-  serve::Json params(serve::Json::Object{});
-  bool checks_hex = false;
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--checks-hex") {
-      checks_hex = true;
-    } else if (a == "--no-cache") {
-      submit.set("no_cache", true);
-    } else if (a == "--trace-summary") {
-      submit.set("trace", true);
-    } else if (a.rfind("--timeout=", 0) == 0) {
-      submit.set("timeout_seconds", std::atof(a.c_str() + 10));
-    } else if (a.rfind("--version=", 0) == 0) {
-      submit.set("version", a.substr(10));
-    } else if (a.rfind("--vps=", 0) == 0) {
-      submit.set("vps", std::atoi(a.c_str() + 6));
-    } else if (a == "--set" && i + 1 < args.size()) {
-      const std::string kv = args[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects key=value, got '%s'\n",
-                     kv.c_str());
-        return 2;
-      }
-      params.set(kv.substr(0, eq),
-                 static_cast<long long>(std::atoll(kv.c_str() + eq + 1)));
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
-      return 2;
-    }
-  }
-  submit.set("params", std::move(params));
-  if (!client.send(submit, &err)) {
-    std::fprintf(stderr, "dpfrun: submit failed: %s\n", err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  serve::Json final_frame;
-  const bool ok = client.stream(
-      [&](const serve::Json& f) {
-        const std::string& type = f["type"].as_string();
-        if (type == "queued") {
-          std::printf("queued as job %lld\n", f["job"].as_int());
-        } else if (type == "progress") {
-          std::printf("  [%lld/%lld] %s\n", f["index"].as_int() + 1,
-                      f["total"].as_int(),
-                      f["benchmark"].as_string().c_str());
-        } else if (type == "trace") {
-          std::printf("%s", f["summary"].as_string().c_str());
-        } else if (type == "result") {
-          print_daemon_result(f, checks_hex);
-        }
-      },
-      &final_frame, &err);
-  if (!ok) {
-    std::fprintf(stderr, "dpfrun: lost daemon connection: %s\n",
-                 err.c_str());
-    return kExitDaemonUnreachable;
-  }
-  const std::string& type = final_frame["type"].as_string();
-  if (type == "rejected") {
-    std::fprintf(stderr, "dpfd rejected the job: %s\n",
-                 final_frame["reason"].as_string().c_str());
-    return kExitDaemonUnreachable;
-  }
-  if (type == "error") {
-    const std::string& reason = final_frame["reason"].as_string();
-    std::fprintf(stderr, "dpfd: job failed: %s\n",
-                 reason.empty() ? final_frame.dump().c_str()
-                                : reason.c_str());
-    return 1;
-  }
-  if (final_frame.contains("error")) {
-    std::fprintf(stderr, "dpfd: %s", final_frame["error"].as_string().c_str());
-    std::string hint;
-    for (const auto& s : final_frame["suggestions"].as_array()) {
-      hint += hint.empty() ? "" : ", ";
-      hint += s.as_string();
-    }
-    if (!hint.empty()) std::fprintf(stderr, " (did you mean: %s?)", hint.c_str());
-    std::fprintf(stderr, "\n");
-  }
-  return static_cast<int>(final_frame["exit"].as_int(0));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -607,13 +433,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (cmd == "--daemon" || cmd.rfind("--daemon=", 0) == 0) {
-    const std::string socket =
-        cmd.rfind("--daemon=", 0) == 0 ? cmd.substr(9) : std::string();
-    std::vector<std::string> args;
-    for (int i = 2; i < argc; ++i) args.emplace_back(argv[i]);
-    return cmd_daemon(socket, args);
-  }
   if (cmd == "list") {
     const bool long_mode = argc >= 3 && std::strcmp(argv[2], "--long") == 0;
     return cmd_list(long_mode);
