@@ -178,19 +178,14 @@ void cshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
       shift_detail::rotate_range(dp, sp, slab, rot, lo, hi);
     });
   }
-  // Stop the clock before the off-processor accounting: the sweep below is
-  // our bookkeeping, not transfer time.
+  // Stop the clock before the off-processor accounting: that is our
+  // bookkeeping, not transfer time.
   const double seconds = timer.seconds();
 
-  index_t offproc = 0;
-  const int procs_here = src.layout().procs_on_axis(axis, p);
-  if (procs_here > 1 && sh != 0) {
-    const index_t moved = detail::moved_slots(
-        n, [&](index_t j) { return (j + sh) % n; }, src.layout().dist(),
-        procs_here);
-    // Elements sharing one coordinate along the shifted axis.
-    offproc = moved * (src.bytes() / n);
-  }
+  // Slot bytes: elements sharing one coordinate along the shifted axis.
+  const index_t offproc = detail::cshift_offproc(
+      n, src.layout().procs_on_axis(axis, p), sh, src.layout().dist(),
+      src.bytes() / n);
   detail::record(pattern, static_cast<int>(R), static_cast<int>(R),
                  src.bytes(), offproc, 0, seconds);
 }
@@ -252,16 +247,9 @@ class [[nodiscard]] ShiftHandle {
     const std::uint64_t f1 = trace::now_ns();
 
     const index_t n = src_->extent(axis_);
-    const int p = Machine::instance().vps();
-    index_t offproc = 0;
-    const int procs_here = src_->layout().procs_on_axis(axis_, p);
-    if (procs_here > 1 && sh_ != 0) {
-      const index_t sh = sh_;
-      const index_t moved = detail::moved_slots(
-          n, [sh, n](index_t j) { return (j + sh) % n; }, src_->layout().dist(),
-          procs_here);
-      offproc = moved * (src_->bytes() / n);
-    }
+    const index_t offproc = detail::cshift_offproc(
+        n, src_->layout().procs_on_axis(axis_, Machine::instance().vps()), sh_,
+        src_->layout().dist(), src_->bytes() / n);
     if (split) {
       if (trace::enabled(trace::Mode::Summary)) {
         trace::overlap_span(static_cast<std::uint8_t>(pattern_),
@@ -382,22 +370,13 @@ void eoshift_into(Array<T, R>& dst, const Array<T, R>& src, std::size_t axis,
                                   hi);
     });
   }
-  // Stop the clock before the off-processor accounting: the sweep below is
-  // our bookkeeping, not transfer time.
+  // Stop the clock before the off-processor accounting: that is our
+  // bookkeeping, not transfer time.
   const double seconds = timer.seconds();
 
-  index_t offproc = 0;
-  const int procs_here = src.layout().procs_on_axis(axis, p);
-  if (procs_here > 1 && s != 0) {
-    const index_t moved = detail::moved_slots(
-        n,
-        [&](index_t j) {
-          const index_t jj = j + s;
-          return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
-        },
-        src.layout().dist(), procs_here);
-    offproc = moved * (src.bytes() / n);
-  }
+  const index_t offproc = detail::eoshift_offproc(
+      n, src.layout().procs_on_axis(axis, p), s, src.layout().dist(),
+      src.bytes() / n);
   detail::record(CommPattern::EOShift, static_cast<int>(R),
                  static_cast<int>(R), src.bytes(), offproc, 0, seconds);
 }
@@ -455,13 +434,9 @@ class [[nodiscard]] ShiftBundle {
     it.rank = static_cast<int>(R);
     it.bytes = src.bytes();
     const int p = Machine::instance().vps();
-    const int procs_here = src.layout().procs_on_axis(axis, p);
-    if (procs_here > 1 && sh != 0) {
-      const index_t moved = detail::moved_slots(
-          n, [sh, n](index_t j) { return (j + sh) % n; }, src.layout().dist(),
-          procs_here);
-      it.offproc = moved * (src.bytes() / n);
-    }
+    it.offproc = detail::cshift_offproc(n, src.layout().procs_on_axis(axis, p),
+                                        sh, src.layout().dist(),
+                                        src.bytes() / n);
     T* dp = dst.data().data();
     const T* sp = src.data().data();
     // The first member's (pattern, bytes) decides the bundle's mode: every
@@ -499,17 +474,9 @@ class [[nodiscard]] ShiftBundle {
     it.rank = static_cast<int>(R);
     it.bytes = src.bytes();
     const int p = Machine::instance().vps();
-    const int procs_here = src.layout().procs_on_axis(axis, p);
-    if (procs_here > 1 && s != 0) {
-      const index_t moved = detail::moved_slots(
-          n,
-          [s, n](index_t j) {
-            const index_t jj = j + s;
-            return (jj >= 0 && jj < n) ? jj : j;  // boundary fills are local
-          },
-          src.layout().dist(), procs_here);
-      it.offproc = moved * (src.bytes() / n);
-    }
+    it.offproc = detail::eoshift_offproc(n, src.layout().procs_on_axis(axis, p),
+                                         s, src.layout().dist(),
+                                         src.bytes() / n);
     T* dp = dst.data().data();
     const T* sp = src.data().data();
     decide_mode(CommPattern::EOShift, src.bytes());

@@ -5,6 +5,7 @@
 /// classification of data movement under the block distribution of an
 /// array's distributed axis.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -90,20 +91,51 @@ template <typename T, std::size_t R>
   return a.data().data() == b.data().data();
 }
 
-/// Number of positions j in [0,n) whose owner under the given distribution
-/// over `procs` processors (the machine VP count when 0) differs from the
-/// owner of perm(j).
-template <typename PermFn>
-[[nodiscard]] index_t moved_slots(index_t n, PermFn&& perm,
-                                  Dist d = Dist::Block, int procs = 0) {
-  const int p = procs > 0 ? procs : Machine::instance().vps();
-  if (p <= 1 || n == 0) return 0;
-  index_t moved = 0;
-  for (index_t j = 0; j < n; ++j) {
-    const index_t k = perm(j);
-    if (owner_of(n, p, j, d) != owner_of(n, p, k, d)) ++moved;
+/// Number of positions j in [0,n) whose BLOCK owner over p processors is
+/// also the owner of j + k (k >= 0): the overlap |B_q ∩ (B_q - k)| summed
+/// over the p blocks, i.e. each block keeps max(0, size - k) of its slots.
+[[nodiscard]] inline index_t block_stay(index_t n, int p, index_t k) {
+  index_t stay = 0;
+  for (int q = 0; q < p; ++q) {
+    stay += std::max<index_t>(0, block_of(n, p, q).size() - k);
   }
-  return moved;
+  return stay;
+}
+
+/// Off-processor bytes of a circular shift by `sh` in [0,n) along an axis
+/// of extent n distributed over p processors: the number of positions j
+/// whose owner differs from the owner of (j + sh) mod n, times `slot_bytes`.
+/// Closed form of that element count — O(1) for CYCLIC, O(p) for BLOCK,
+/// where the shift splits into the unwrapped piece (offset sh) and the
+/// wrapped piece (offset n - sh).
+[[nodiscard]] inline index_t cshift_offproc(index_t n, int p, index_t sh,
+                                            Dist d, index_t slot_bytes) {
+  if (p <= 1 || n == 0 || sh == 0) return 0;
+  index_t moved = 0;
+  if (d == Dist::Cyclic) {
+    moved = (sh % p != 0 ? n - sh : 0) + ((sh - n) % p != 0 ? sh : 0);
+  } else {
+    moved = n - block_stay(n, p, sh) - block_stay(n, p, n - sh);
+  }
+  return moved * slot_bytes;
+}
+
+/// Off-processor bytes of an end-off shift by `s` (any sign) along an axis
+/// of extent n over p processors: positions j whose source j + s is in
+/// [0,n) and owned elsewhere, times `slot_bytes`. Boundary fills are local.
+[[nodiscard]] inline index_t eoshift_offproc(index_t n, int p, index_t s,
+                                             Dist d, index_t slot_bytes) {
+  if (p <= 1 || n == 0 || s == 0) return 0;
+  // Positions with an in-range source: [max(0,-s), min(n,n-s)).
+  const index_t valid = std::max<index_t>(
+      0, std::min(n, n - s) - std::max<index_t>(0, -s));
+  index_t moved = 0;
+  if (d == Dist::Cyclic) {
+    moved = s % p != 0 ? valid : 0;
+  } else {
+    moved = valid - block_stay(n, p, s < 0 ? -s : s);
+  }
+  return moved * slot_bytes;
 }
 
 /// Encoded owner id of the element at `coord` of array `a`, combining the

@@ -148,22 +148,23 @@ template <typename T, std::size_t R>
   InteriorMask<R> mk;
   for (std::size_t ax = 0; ax < R; ++ax) {
     const index_t n = a.extent(ax);
-    mk.interior[ax].assign(static_cast<std::size_t>(n), 1);
     const int g = a.layout().procs_on_axis(ax, p);
-    if (g <= 1 || halo == 0 || n == 0) continue;
-    if (a.layout().dist() != Dist::Block) {
-      std::fill(mk.interior[ax].begin(), mk.interior[ax].end(), 0);
-      mk.any_boundary = true;
-      continue;
-    }
-    for (index_t c = 0; c < n; ++c) {
-      const Block b = block_of(n, g, owner_of(n, g, c));
-      // Wrapped neighbours (c ± halo outside [0, n)) fail automatically:
-      // the block bounds never extend past the global ends.
-      const bool in = c - halo >= b.begin && c + halo <= b.end - 1;
-      if (!in) {
-        mk.interior[ax][static_cast<std::size_t>(c)] = 0;
-        mk.any_boundary = true;
+    const bool all_interior = g <= 1 || halo == 0 || n == 0;
+    auto& flags = mk.interior[ax];
+    flags.assign(static_cast<std::size_t>(n), all_interior ? 1 : 0);
+    if (all_interior) continue;
+    // Coordinate 0 is always boundary (its left neighbour wraps), and a
+    // cyclic axis is all-boundary.
+    mk.any_boundary = true;
+    if (a.layout().dist() != Dist::Block) continue;
+    // Each block's interior is [begin + halo, end - halo). Wrapped
+    // neighbours (c ± halo outside [0, n)) fall outside automatically: the
+    // block bounds never extend past the global ends.
+    for (int q = 0; q < g; ++q) {
+      const Block b = block_of(n, g, q);
+      if (b.size() > 2 * halo) {
+        std::fill(flags.begin() + (b.begin + halo),
+                  flags.begin() + (b.end - halo), 1);
       }
     }
   }

@@ -39,6 +39,25 @@ namespace fft_detail {
   return l;
 }
 
+/// Positions i of a length-n row whose BLOCK owner over p VPs differs from
+/// the owner of the butterfly partner i ^ half. Memoized per (n, half, p):
+/// the apps re-run the same log2(n) stages on every call.
+[[nodiscard]] inline index_t stage_moved(index_t n, index_t half, int p) {
+  comm::detail::KeyHash key;
+  key.mix(static_cast<std::uint64_t>(n));
+  key.mix(static_cast<std::uint64_t>(half));
+  key.mix(static_cast<std::uint64_t>(p));
+  static thread_local comm::detail::OffprocCache cache;
+  index_t moved = 0;
+  if (!cache.get(key.h, moved)) {
+    for (index_t i = 0; i < n; ++i) {
+      if (owner_of(n, p, i) != owner_of(n, p, i ^ half)) ++moved;
+    }
+    cache.put(key.h, moved);
+  }
+  return moved;
+}
+
 /// Transforms `batch` contiguous rows of length n in place (row-major
 /// buffer of batch*n complex values). Records 2 CShifts per stage covering
 /// all rows; arithmetic counted at 5n per stage per row.
@@ -93,11 +112,7 @@ inline void fft_batch(complexd* data, index_t batch, index_t n,
     flops::add_weighted(5 * n * batch);
     // The ±(len/2) partner exchange: 2 CSHIFTs per stage.
     const index_t bytes = 16 * n * batch;
-    const index_t off =
-        p > 1 ? comm::detail::moved_slots(n, [&](index_t i) {
-                  return i ^ half;
-                }) * 16 * batch
-              : 0;
+    const index_t off = p > 1 ? stage_moved(n, half, p) * 16 * batch : 0;
     comm::detail::record(CommPattern::CShift, 1, 1, bytes, off / 2);
     comm::detail::record(CommPattern::CShift, 1, 1, bytes, off / 2);
   }

@@ -80,6 +80,37 @@ TEST_F(InteriorFirstTest, MaskPartitionMatchesOwnership) {
   }
 }
 
+// The per-block mask equals the per-coordinate definition (c is interior
+// when [c - halo, c + halo] lies in the block of c's owner) on every extent
+// up to 64, every grid of 1..17 VPs and halos 0..4, including blocks
+// narrower than 2*halo and empty blocks (g > n).
+TEST_F(InteriorFirstTest, PerBlockMaskMatchesPerCoordinateDefinition) {
+  for (int g = 1; g <= 17; ++g) {
+    Machine::instance().configure(g);
+    for (index_t n = 0; n <= 64; ++n) {
+      auto a = make_vector<double>(n);
+      ASSERT_EQ(a.layout().procs_on_axis(0, g), g);
+      for (index_t halo = 0; halo <= 4; ++halo) {
+        const auto mk = comm::interior_mask(a, halo);
+        ASSERT_EQ(mk.interior[0].size(), static_cast<std::size_t>(n));
+        bool any_boundary = false;
+        for (index_t c = 0; c < n; ++c) {
+          bool expect_in = true;
+          if (g > 1 && halo > 0) {
+            const Block b = block_of(n, g, owner_of(n, g, c));
+            expect_in = c - halo >= b.begin && c + halo <= b.end - 1;
+          }
+          any_boundary = any_boundary || !expect_in;
+          ASSERT_EQ(expect_in, mk.interior[0][std::size_t(c)] != 0)
+              << "g=" << g << " n=" << n << " halo=" << halo << " c=" << c;
+        }
+        EXPECT_EQ(any_boundary, mk.any_boundary)
+            << "g=" << g << " n=" << n << " halo=" << halo;
+      }
+    }
+  }
+}
+
 // Pass 1 writes the interior slice only, pass 2 the boundary slice only:
 // observed with a sentinel prefill and a finish hook that snapshots which
 // elements have been written when the halos land.
